@@ -423,6 +423,7 @@ func BenchmarkAblationHoneyclientHeuristics(b *testing.B) {
 
 	classify := func(noRedirect, noHijack, noModel bool) int {
 		h := honeyclient.New(s.Universe, s.Cfg.Seed)
+		h.CodeCache = s.Code
 		h.DisableRedirectHeuristics = noRedirect
 		h.DisableHijackDetection = noHijack
 		h.DisableModel = noModel

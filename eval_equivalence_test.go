@@ -33,7 +33,10 @@ func TestEvalEquivalenceTreeWalkVsCompiled(t *testing.T) {
 		t.Fatal("empty corpus")
 	}
 
+	// The compiled side loads through the study's code cache, which the
+	// crawl's strict loads filled; the tree-walk side parses afresh.
 	compiled := honeyclient.New(s.Universe, cfg.Seed)
+	compiled.CodeCache = s.Code
 	tree := honeyclient.New(s.Universe, cfg.Seed)
 	tree.MinijsInterp = true
 

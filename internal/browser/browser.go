@@ -272,7 +272,7 @@ type Browser struct {
 	baseHeader http.Header
 	uaVal      []string
 	// navObj/screenObj are the frozen shared navigator and screen host
-	// objects, pure functions of Profile, built on first script run.
+	// objects, pure functions of Profile, built on first use.
 	navObj    *minijs.Object
 	screenObj *minijs.Object
 	// EnforceSandbox honors iframe sandbox attributes. Real browsers do;

@@ -9,6 +9,7 @@ import (
 
 	"madave/internal/easylist"
 	"madave/internal/memnet"
+	"madave/internal/minijs"
 	"madave/internal/netcap"
 )
 
@@ -457,5 +458,43 @@ func TestProfiles(t *testing.T) {
 	}
 	if !vulnerable {
 		t.Fatal("honeyclient must advertise a vulnerable Flash")
+	}
+}
+
+// TestStrictLoadsThroughSharedCodeCache checks the crawler's side of the
+// study-wide code cache: a strict browser renders a page with clean and
+// broken scripts identically — HTML and exact Page.Errors strings — with
+// no cache, with a cold cache, and with a cache a tolerant browser filled
+// first.
+func TestStrictLoadsThroughSharedCodeCache(t *testing.T) {
+	const html = `<html><body>
+		<script>document.write('<p id="a">clean</p>');</script>
+		<script>var x = ; document.write('<p id="b">broken</p>');</script>
+		<script>throw
+		1;</script>
+		<script>document.write('<p id="c">' + Math.floor(2.5) + '</p>');</script>
+	</body></html>`
+	render := func(cc *minijs.CodeCache, tolerant bool) (string, string) {
+		b, _ := newBrowser(testWorld(), UserProfile())
+		b.CodeCache = cc
+		b.TolerantJS = tolerant
+		page := b.LoadHTML(html, "http://strict.example.com/")
+		return page.HTML(), strings.Join(page.Errors, "\n")
+	}
+	wantHTML, wantErrs := render(nil, false)
+	if !strings.Contains(wantErrs, "script: ") || strings.Count(wantErrs, "\n") != 1 {
+		t.Fatalf("want two strict syntax errors, got:\n%s", wantErrs)
+	}
+	warm := minijs.NewCodeCache(16, nil)
+	render(warm, true)
+	for name, cc := range map[string]*minijs.CodeCache{"cold": minijs.NewCodeCache(16, nil), "tolerant-warmed": warm} {
+		gotHTML, gotErrs := render(cc, false)
+		if gotHTML != wantHTML || gotErrs != wantErrs {
+			t.Errorf("%s cache: strict render differs from uncached\nhtml %q\nwant %q\nerrors %q\nwant   %q",
+				name, gotHTML, wantHTML, gotErrs, wantErrs)
+		}
+	}
+	if st := warm.Stats(); st.Hits != 4 {
+		t.Errorf("strict loads after tolerant ones should all hit: stats %+v", st)
 	}
 }

@@ -22,12 +22,8 @@ func (b *Browser) runScripts(reqCtx context.Context, page *Page, sandboxed bool)
 	if !hasInlineScript(page.Doc) {
 		return
 	}
-	ctx := &scriptCtx{b: b, page: page, sandboxed: sandboxed, reqCtx: reqCtx}
-	interp := minijs.New()
-	interp.Budget = b.ScriptBudget
-	interp.UseVM = !b.TreeWalkJS
-	interp.Host = ctx
-	ctx.install(interp)
+	ctx := b.newScriptCtx(reqCtx, page, sandboxed)
+	interp := ctx.in
 
 	executed := map[*htmlparse.Node]bool{}
 	inlineSeq := 0
@@ -102,6 +98,13 @@ type scriptCtx struct {
 	b         *Browser
 	page      *Page
 	sandboxed bool
+	// in is the document's interpreter; the realm builders allocate the
+	// host objects in its arena.
+	in *minijs.Interp
+	// doc, loc, top and win memoize the per-frame host objects, built on
+	// first use (see resolve), so every path to one reaches the same object
+	// (window.document === document, parent === top).
+	doc, loc, top, win *minijs.Object
 	// reqCtx bounds every network fetch a script triggers (navigations,
 	// external script loads) with the page visit's deadline.
 	reqCtx   context.Context
@@ -118,6 +121,18 @@ type scriptCtx struct {
 	// ID or an external script URL), the provenance stamped onto DOM writes
 	// and script-driven fetches.
 	curScript string
+}
+
+// newScriptCtx builds a document's interpreter with its host realm, which
+// resolve builds on demand.
+func (b *Browser) newScriptCtx(reqCtx context.Context, page *Page, sandboxed bool) *scriptCtx {
+	in := minijs.New()
+	in.Budget = b.ScriptBudget
+	in.UseVM = !b.TreeWalkJS
+	ctx := &scriptCtx{b: b, page: page, sandboxed: sandboxed, reqCtx: reqCtx, in: in}
+	in.Host = ctx
+	in.Global.SetResolver(ctx.resolve)
+	return ctx
 }
 
 // nodeOf resolves a wrapped element object to its DOM node.
@@ -200,10 +215,6 @@ func (ctx *scriptCtx) runScript(in *minijs.Interp, src, label string) {
 // maxFollowedNavigations bounds how many script navigations the browser
 // chases per document.
 const maxFollowedNavigations = 3
-
-// install defines the host objects: document, window, top, navigator,
-// screen, location, setTimeout — and overrides Math.random with the
-// browser's deterministic stream.
 
 // hostCtx recovers the script context from the interpreter's Host slot; the
 // shared host natives below use it instead of capturing ctx in per-frame
@@ -334,10 +345,46 @@ var (
 	}()
 )
 
-func (ctx *scriptCtx) install(in *minijs.Interp) {
-	g := in.Global
+// resolve is the document's realm, built on demand: the global scope calls
+// it the first time a script reads a name it does not hold, and keeps the
+// binding. Most creatives only reach document.write, so a frame builds the
+// document object and nothing else. Each name resolves to the value it would
+// have had if defined up front; names the browser does not serve fall
+// through to minijs's own ResolveBuiltin.
+func (ctx *scriptCtx) resolve(name string) (minijs.Value, bool) {
+	switch name {
+	case "document":
+		return ctx.document().Value(), true
+	case "location":
+		return ctx.location().Value(), true
+	case "top", "parent":
+		return ctx.topObj().Value(), true
+	case "window", "self":
+		return ctx.window().Value(), true
+	case "navigator":
+		return ctx.b.navigator().Value(), true
+	case "screen":
+		return ctx.b.screen().Value(), true
+	case "setTimeout":
+		return natSetTimeout.Value(), true
+	case "clearTimeout":
+		return natClearTimeout.Value(), true
+	case "Date":
+		// A logical, fixed clock so runs reproduce (see the shared natDate*
+		// natives; the clock lives on the Browser).
+		return natDateCtor.Value(), true
+	case "Math":
+		return ctx.math()
+	}
+	return ctx.in.ResolveBuiltin(name)
+}
 
-	// document ----------------------------------------------------------
+// document builds the frame's document object.
+func (ctx *scriptCtx) document() *minijs.Object {
+	if ctx.doc != nil {
+		return ctx.doc
+	}
+	in := ctx.in
 	doc := in.NewObject()
 	doc.Name = "document"
 	doc.Props["URL"] = minijs.Str(ctx.page.FinalURL)
@@ -364,41 +411,17 @@ func (ctx *scriptCtx) install(in *minijs.Interp) {
 	body.Props["appendChild"] = natAppendChild.Value()
 	doc.Props["body"] = body.Value()
 	doc.Props["getElementById"] = natGetElementByID.Value()
-	g.Define("document", doc.Value())
+	ctx.doc = doc
+	return doc
+}
 
-	// navigator / screen --------------------------------------------------
-	// Pure functions of the Profile, so they are built once per Browser as
-	// frozen shared objects rather than per frame (writes are silently
-	// ignored, like the shared builtin method objects).
-	if ctx.b.navObj == nil {
-		nav := minijs.NewObject()
-		nav.Name = "navigator"
-		nav.Props["userAgent"] = minijs.Str(ctx.b.Profile.UserAgent)
-		plugins := minijs.NewArray()
-		for _, p := range ctx.b.Profile.Plugins {
-			po := minijs.NewObject()
-			po.Props["name"] = minijs.Str(p.Name)
-			po.Props["version"] = minijs.Num(p.Version)
-			po.Freeze()
-			plugins.Elems = append(plugins.Elems, po.Value())
-		}
-		plugins.Freeze()
-		nav.Props["plugins"] = plugins.Value()
-		nav.Freeze()
-		ctx.b.navObj = nav
-
-		screen := minijs.NewObject()
-		screen.Name = "screen"
-		screen.Props["width"] = minijs.Num(float64(ctx.b.Profile.ScreenW))
-		screen.Props["height"] = minijs.Num(float64(ctx.b.Profile.ScreenH))
-		screen.Freeze()
-		ctx.b.screenObj = screen
+// location builds the frame's location object: reading href/host/protocol
+// reports the document URL, assigning href navigates the frame.
+func (ctx *scriptCtx) location() *minijs.Object {
+	if ctx.loc != nil {
+		return ctx.loc
 	}
-	g.Define("navigator", ctx.b.navObj.Value())
-	g.Define("screen", ctx.b.screenObj.Value())
-
-	// location -------------------------------------------------------------
-	loc := in.NewObject()
+	loc := ctx.in.NewObject()
 	loc.Name = "location"
 	loc.GetTrap = func(name string) (minijs.Value, bool) {
 		switch name {
@@ -420,9 +443,17 @@ func (ctx *scriptCtx) install(in *minijs.Interp) {
 	}
 	loc.Props["replace"] = natLocReplace.Value()
 	loc.Props["toString"] = natLocToString.Value()
-	g.Define("location", loc.Value())
+	ctx.loc = loc
+	return loc
+}
 
-	// top ------------------------------------------------------------------
+// topObj builds the object scripts see as top and parent: assigning its
+// location (or location.href) is the §2.3 top-frame hijack.
+func (ctx *scriptCtx) topObj() *minijs.Object {
+	if ctx.top != nil {
+		return ctx.top
+	}
+	in := ctx.in
 	top := in.NewObject()
 	top.Name = "top"
 	topLoc := in.NewObject()
@@ -442,21 +473,28 @@ func (ctx *scriptCtx) install(in *minijs.Interp) {
 		}
 		return false
 	}
-	g.Define("top", top.Value())
-	g.Define("parent", top.Value())
+	ctx.top = top
+	return top
+}
 
-	// window ----------------------------------------------------------------
-	win := in.NewObject()
+// window builds the frame's window (also self). Its document and top are
+// the memoized frame objects; its location is built only when read.
+func (ctx *scriptCtx) window() *minijs.Object {
+	if ctx.win != nil {
+		return ctx.win
+	}
+	b := ctx.b
+	win := ctx.in.NewObject()
 	win.Name = "window"
-	win.Props["document"] = doc.Value()
-	win.Props["navigator"] = ctx.b.navObj.Value()
-	win.Props["screen"] = ctx.b.screenObj.Value()
-	win.Props["top"] = top.Value()
-	win.Props["innerWidth"] = minijs.Num(float64(ctx.b.Profile.ScreenW))
-	win.Props["innerHeight"] = minijs.Num(float64(ctx.b.Profile.ScreenH))
+	win.Props["document"] = ctx.document().Value()
+	win.Props["navigator"] = b.navigator().Value()
+	win.Props["screen"] = b.screen().Value()
+	win.Props["top"] = ctx.topObj().Value()
+	win.Props["innerWidth"] = minijs.Num(float64(b.Profile.ScreenW))
+	win.Props["innerHeight"] = minijs.Num(float64(b.Profile.ScreenH))
 	win.GetTrap = func(name string) (minijs.Value, bool) {
 		if name == "location" {
-			return loc.Value(), true
+			return ctx.location().Value(), true
 		}
 		return minijs.Value{}, false
 	}
@@ -467,27 +505,58 @@ func (ctx *scriptCtx) install(in *minijs.Interp) {
 		}
 		return false
 	}
-	g.Define("window", win.Value())
-	g.Define("self", win.Value())
-
-	// setTimeout --------------------------------------------------------------
-	g.Define("setTimeout", natSetTimeout.Value())
 	win.Props["setTimeout"] = natSetTimeout.Value()
-	g.Define("clearTimeout", natClearTimeout.Value())
+	ctx.win = win
+	return win
+}
 
-	// Date: a logical, fixed clock so runs reproduce (see the shared
-	// natDate* natives; the clock lives on the Browser).
-	g.Define("Date", natDateCtor.Value())
+// math builds minijs's Math with random replaced by the frame's
+// deterministic stream, forked from the browser's RNG by document URL.
+// Forking leaves the parent stream untouched, so building it late yields
+// the same sequence an eager install would have.
+func (ctx *scriptCtx) math() (minijs.Value, bool) {
+	v, ok := ctx.in.ResolveBuiltin("Math")
+	rng := ctx.b.RNG.Fork("mathrandom:" + ctx.page.FinalURL)
+	v.Obj().Props["random"] = ctx.in.NewNative("random", func(_ *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
+		return minijs.Num(rng.Float64()), nil
+	}).Value()
+	return v, ok
+}
 
-	// Deterministic Math.random from the browser's RNG stream.
-	if mathV, ok := g.Lookup("Math"); ok {
-		if mathObj := mathV.Obj(); mathObj != nil {
-			rng := ctx.b.RNG.Fork("mathrandom:" + ctx.page.FinalURL)
-			mathObj.Props["random"] = in.NewNative("random", func(_ *minijs.Interp, _ minijs.Value, _ []minijs.Value) (minijs.Value, error) {
-				return minijs.Num(rng.Float64()), nil
-			}).Value()
+// navigator and screen are pure functions of the Profile, so they are
+// built once per Browser as frozen shared objects rather than per frame
+// (writes are silently ignored, like the shared builtin method objects).
+func (b *Browser) navigator() *minijs.Object {
+	if b.navObj == nil {
+		nav := minijs.NewObject()
+		nav.Name = "navigator"
+		nav.Props["userAgent"] = minijs.Str(b.Profile.UserAgent)
+		plugins := minijs.NewArray()
+		for _, p := range b.Profile.Plugins {
+			po := minijs.NewObject()
+			po.Props["name"] = minijs.Str(p.Name)
+			po.Props["version"] = minijs.Num(p.Version)
+			po.Freeze()
+			plugins.Elems = append(plugins.Elems, po.Value())
 		}
+		plugins.Freeze()
+		nav.Props["plugins"] = plugins.Value()
+		nav.Freeze()
+		b.navObj = nav
 	}
+	return b.navObj
+}
+
+func (b *Browser) screen() *minijs.Object {
+	if b.screenObj == nil {
+		screen := minijs.NewObject()
+		screen.Name = "screen"
+		screen.Props["width"] = minijs.Num(float64(b.Profile.ScreenW))
+		screen.Props["height"] = minijs.Num(float64(b.Profile.ScreenH))
+		screen.Freeze()
+		b.screenObj = screen
+	}
+	return b.screenObj
 }
 
 // elementAttrs are the element properties scripts read and write that map

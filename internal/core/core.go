@@ -24,6 +24,7 @@ import (
 	"madave/internal/flowgraph"
 	"madave/internal/honeyclient"
 	"madave/internal/memnet"
+	"madave/internal/minijs"
 	"madave/internal/netcap"
 	"madave/internal/oracle"
 	"madave/internal/resilient"
@@ -122,6 +123,10 @@ type Study struct {
 	Universe *memnet.Universe
 	List     *easylist.List
 	Oracle   *oracle.Oracle
+	// Code is the study's script code cache, shared by every crawler
+	// browser and the honeyclient: each distinct ad script is parsed and
+	// compiled once per study, not once per side.
+	Code *minijs.CodeCache
 }
 
 // NewStudy builds the full simulation.
@@ -149,7 +154,9 @@ func NewStudy(cfg Config) (*Study, error) {
 	}
 	list.Tel = cfg.Telemetry
 
+	code := minijs.NewCodeCache(0, cfg.Telemetry)
 	hc := honeyclient.New(u, cfg.Seed)
+	hc.CodeCache = code
 	hc.Retry = cfg.AnalysisRetry
 	hc.Timeout = cfg.AnalysisTimeout
 	hc.Tel = cfg.Telemetry
@@ -182,6 +189,7 @@ func NewStudy(cfg Config) (*Study, error) {
 		Universe: u,
 		List:     list,
 		Oracle:   ora,
+		Code:     code,
 	}, nil
 }
 
@@ -237,11 +245,12 @@ func (s *Study) CrawlTraced() (*corpus.Corpus, *crawler.Stats, *netcap.Capture) 
 	return corp, st, cr.Traffic()
 }
 
-// newCrawler assembles the crawl-phase crawler, chaos-wrapped when the
-// study injects faults.
+// newCrawler assembles the crawl-phase crawler over the study's code cache,
+// chaos-wrapped when the study injects faults.
 func (s *Study) newCrawler() *crawler.Crawler {
 	cr := crawler.New(s.Universe, s.List, s.Web, s.Cfg.Crawl)
 	cr.Telemetry = s.Cfg.Telemetry
+	cr.CodeCache = s.Code
 	if s.Cfg.Chaos != nil {
 		cr.Transport = chaosTransport(s.Universe, s.Cfg.Seed, *s.Cfg.Chaos, s.Cfg.Telemetry)
 	}

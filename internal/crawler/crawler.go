@@ -24,6 +24,7 @@ import (
 	"madave/internal/corpus"
 	"madave/internal/easylist"
 	"madave/internal/memnet"
+	"madave/internal/minijs"
 	"madave/internal/netcap"
 	"madave/internal/resilient"
 	"madave/internal/stats"
@@ -127,6 +128,12 @@ type Crawler struct {
 	// Stats accounting is identical either way and telemetry can never
 	// steer the crawl.
 	Telemetry *telemetry.Set
+	// CodeCache, when set, shares parsed+compiled scripts with every
+	// browser the crawler builds. A study passes the cache its honeyclient
+	// uses, so the honeyclient's re-execution of an ad finds the scripts
+	// the crawl already compiled. Pages render identically with or without
+	// it: the cache serves strict loads the strict parser's exact outcome.
+	CodeCache *minijs.CodeCache
 
 	mu       sync.Mutex
 	traffic  []*netcap.Capture
@@ -314,6 +321,7 @@ func (c *Crawler) newWorkerBrowser(worker int, counters *resilient.Counters) *br
 	b.Capture = cap
 	b.Tel = c.Telemetry
 	b.RNG = stats.NewRNG(c.Config.Seed).Fork(fmt.Sprintf("crawler-worker-%d", worker))
+	b.CodeCache = c.CodeCache
 	return b
 }
 

@@ -131,6 +131,7 @@ func (c *Crawler) newVisitBrowser(v Visit, counters *resilient.Counters) *browse
 	b.Capture = cap
 	b.Tel = c.Telemetry
 	b.RNG = stats.NewRNG(c.Config.Seed).Fork("crawler-visit-" + v.Key())
+	b.CodeCache = c.CodeCache
 	return b
 }
 

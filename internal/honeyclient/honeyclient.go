@@ -20,7 +20,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"madave/internal/browser"
@@ -162,12 +161,12 @@ type Honeyclient struct {
 	// corpora are unaffected.
 	TolerantJS bool
 
-	// code shares parsed+compiled scripts across every browser this
-	// honeyclient builds, keyed by source hash. Unlike the report cache it
-	// is always on: compilation is a pure function of the source, so
-	// sharing it cannot perturb verdicts.
-	codeOnce sync.Once
-	code     *minijs.CodeCache
+	// CodeCache, when set, shares parsed+compiled scripts with every
+	// browser this honeyclient builds, keyed by source hash. A study sets
+	// its own cache here and on the crawler, so each ad script is compiled
+	// once per study. Compilation is a pure function of the source, so
+	// sharing it cannot perturb verdicts; nil compiles per load.
+	CodeCache *minijs.CodeCache
 
 	// cache, when enabled, memoizes analysis reports so advertisements
 	// sharing a creative execute once (DESIGN.md §11). Reports are pure
@@ -280,8 +279,7 @@ func (h *Honeyclient) newBrowser() (*browser.Browser, *netcap.Capture) {
 	b.Tel = h.Tel
 	b.ScriptBudget = h.ScriptBudget
 	b.RNG = stats.NewRNG(h.Seed).Fork("honeyclient")
-	h.codeOnce.Do(func() { h.code = minijs.NewCodeCache(0, h.Tel) })
-	b.CodeCache = h.code
+	b.CodeCache = h.CodeCache
 	b.TolerantJS = h.TolerantJS
 	b.TreeWalkJS = h.MinijsInterp
 	return b, cap

@@ -13,13 +13,6 @@ import (
 // matches the old per-access-closure behaviour observably: writes to a method
 // object were never visible on the next property access either.
 
-// installBuiltins defines the standard global bindings every execution
-// context gets: Math, String, parseInt/parseFloat, isNaN, escape/unescape,
-// URI coders, eval, and the Array/Function tag objects used by instanceof.
-//
-// Math.random is deterministic (a fixed-seed LCG) so that crawls are
-// reproducible; the embedding browser replaces it with a stream derived from
-// the simulation seed.
 // sharedGlobals is the frozen scope of immutable builtins (constructors,
 // global functions, NaN/Infinity) that every interpreter's global scope
 // chains to. Built once; assignments shadow in the interpreter's own global
@@ -41,12 +34,20 @@ var sharedGlobals = func() *Env {
 	return g
 }()
 
-func installBuiltins(in *Interp) {
-	g := in.Global
-
-	// Math is the one mutable builtin object: the browser layer overwrites
-	// Math.random with a seeded stream, and scripts may patch it too, so the
-	// object itself stays per-interpreter. Its methods are shared.
+// ResolveBuiltin builds the one standard global that is per-interpreter
+// state rather than shared: Math. New installs it as the global scope's
+// resolver (Env.SetResolver), so an interpreter whose scripts never read
+// Math never builds it; an embedder that installs its own resolver chains
+// to this one for the names it does not serve.
+//
+// Math is mutable — the embedding browser overwrites Math.random with a
+// stream derived from the simulation seed, and scripts may patch it too — so
+// the object is per-interpreter while its methods are shared. The default
+// Math.random is a fixed-seed LCG so that bare interpreters reproduce.
+func (in *Interp) ResolveBuiltin(name string) (Value, bool) {
+	if name != "Math" {
+		return Value{}, false
+	}
 	mathObj := in.NewObject()
 	mathObj.Name = "Math"
 	mathObj.Props["PI"] = Num(math.Pi)
@@ -68,7 +69,7 @@ func installBuiltins(in *Interp) {
 		}
 		return Value{}, false
 	}
-	g.Define("Math", mathObj.Value())
+	return mathObj.Value(), true
 }
 
 // mathMethods are the shared Math method objects (everything but random,

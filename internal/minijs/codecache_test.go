@@ -90,14 +90,49 @@ func TestCodeCacheNegativeCachesSyntaxErrors(t *testing.T) {
 		t.Fatalf("cached error mismatch: %v vs %v", err1, err2)
 	}
 
-	// The same source in tolerant mode is a distinct key and must succeed
-	// with recorded diagnostics.
+	// The same entry serves tolerant mode: the recovered program with its
+	// diagnostics, without another parse.
 	tprog, terrs, terr := cc.Load(context.Background(), src, true)
 	if terr != nil {
 		t.Fatalf("tolerant load failed: %v", terr)
 	}
 	if tprog == nil || len(terrs) == 0 {
 		t.Fatalf("tolerant load: prog=%v errs=%d, want program plus diagnostics", tprog != nil, len(terrs))
+	}
+	if st := cc.Stats(); st.Stores != 1 || st.Hits != 2 {
+		t.Fatalf("strict and tolerant loads should share one entry: stats %+v", st)
+	}
+}
+
+// TestCodeCacheOneEntryServesBothModes checks the study-wide sharing the
+// cache exists for: the crawler's strict load compiles a clean script once,
+// and the honeyclient's tolerant load of the same source is a hit on the
+// same program — and the reverse order behaves the same.
+func TestCodeCacheOneEntryServesBothModes(t *testing.T) {
+	for _, strictFirst := range []bool{true, false} {
+		cc := NewCodeCache(16, nil)
+		src := "var a = 1; document.write('<img src=x>' + a);"
+		p1, e1, err1 := cc.Load(context.Background(), src, !strictFirst)
+		p2, e2, err2 := cc.Load(context.Background(), src, strictFirst)
+		if err1 != nil || err2 != nil || len(e1) != 0 || len(e2) != 0 {
+			t.Fatalf("clean script: errs %v %v, diagnostics %d %d", err1, err2, len(e1), len(e2))
+		}
+		if p1 != p2 || p1.code == nil {
+			t.Fatalf("strict-first=%v: modes got different programs (or no bytecode)", strictFirst)
+		}
+		if st := cc.Stats(); st.Stores != 1 || st.Hits != 1 {
+			t.Fatalf("strict-first=%v: want one store and one hit, stats %+v", strictFirst, st)
+		}
+		want, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CompileProgram(nil, want); err != nil {
+			t.Fatal(err)
+		}
+		if got := Disassemble(p1); got != Disassemble(want) {
+			t.Fatalf("cached program differs from a strict parse:\n%s\nvs\n%s", got, Disassemble(want))
+		}
 	}
 }
 

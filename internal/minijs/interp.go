@@ -59,6 +59,8 @@ type Env struct {
 	names  [envInline]string
 	vals   [envInline]Value
 	more   map[string]Value
+	// resolve, when set, builds a binding on demand (see SetResolver).
+	resolve func(name string) (Value, bool)
 }
 
 // NewEnv returns a scope nested in parent (parent may be nil for globals).
@@ -79,15 +81,33 @@ func (e *Env) lookupLocal(name string) (Value, bool) {
 	return Value{}, false
 }
 
-// Lookup finds name in this scope chain.
+// Lookup finds name in this scope chain. A scope with a resolver asks it
+// for a name it does not hold before the search moves outward, and keeps
+// what it builds.
 func (e *Env) Lookup(name string) (Value, bool) {
 	for s := e; s != nil; s = s.parent {
 		if v, ok := s.lookupLocal(name); ok {
 			return v, true
 		}
+		if s.resolve != nil {
+			if v, ok := s.resolve(name); ok {
+				s.Define(name, v)
+				return v, true
+			}
+		}
 	}
 	return Undefined(), false
 }
+
+// SetResolver makes this scope build bindings on demand: the first Lookup
+// that misses name here calls r, and a binding r returns is Defined in this
+// scope, so r runs at most once per name it serves. Only Lookup consults r.
+// Define and Assign see just the bindings that exist, so a script that
+// assigns or declares a resolvable name before reading it (`document = 1`,
+// `var Math;`) ends with exactly the binding it would have had if r's value
+// had been defined up front and then overwritten. A global scope's names
+// are never enumerated by scripts, so building them late is unobservable.
+func (e *Env) SetResolver(r func(name string) (Value, bool)) { e.resolve = r }
 
 // Define creates or overwrites name in this exact scope.
 func (e *Env) Define(name string, v Value) {
@@ -107,8 +127,10 @@ func (e *Env) Define(name string, v Value) {
 		e.n++
 		return
 	}
-	// A scope that spills past the inline slots is almost always the global
-	// scope (builtins plus host bindings), so size the map for that case.
+	// A scope that spills past the inline slots is almost always a script's
+	// global scope: its own top-level vars and functions plus the host
+	// globals it read (the realm is resolved on demand, so untouched host
+	// objects take no slot). Size the map for that case.
 	e.more = make(map[string]Value, 16)
 	e.more[name] = v
 }
@@ -191,10 +213,11 @@ type Interp struct {
 const DefaultBudget = 2_000_000
 
 // New returns an interpreter with a fresh global scope, the default budget,
-// and standard builtins (Math, String, parseInt, ...) installed.
+// and the standard builtins (String, parseInt, ... shared; Math built on
+// first use through ResolveBuiltin).
 func New() *Interp {
 	in := &Interp{Global: NewEnv(sharedGlobals), Budget: DefaultBudget, MaxDepth: 200, UseVM: true}
-	installBuiltins(in)
+	in.Global.SetResolver(in.ResolveBuiltin)
 	return in
 }
 

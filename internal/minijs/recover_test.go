@@ -7,8 +7,12 @@ package minijs
 // JavaScript.
 
 import (
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"madave/internal/fuzzutil"
 )
 
 // runTolerant parses src tolerantly, executes the recovered program, and
@@ -359,4 +363,57 @@ func FuzzParseRecover(f *testing.F) {
 			t.Fatalf("recovered execution nondeterministic:\n run1 = (%q, %q)\n run2 = (%q, %q)", r1, e1, r2, e2)
 		}
 	})
+}
+
+// FuzzTolerantCleanParseIsStrict holds the law the code cache's single entry
+// per source relies on to serve strict callers: when ParseTolerant reports
+// no diagnostics, Parse accepts the source too and lowers it to the same
+// bytecode (FuzzParseRecover checks the converse). It starts from
+// FuzzParseRecover's corpus.
+func FuzzTolerantCleanParseIsStrict(f *testing.F) {
+	addScriptSeeds(f)
+	fuzzutil.SeedStrings(f, parseRecoverCorpus(f)...)
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 1<<12 {
+			t.Skip("oversized input")
+		}
+		prog, errs := ParseTolerant(src)
+		if len(errs) != 0 {
+			return
+		}
+		strict, err := Parse(src)
+		if err != nil {
+			t.Fatalf("tolerant parse reported no diagnostics, strict parse failed: %v\nsrc: %q", err, src)
+		}
+		if len(prog.Body) != len(strict.Body) {
+			t.Fatalf("tolerant parse has %d statements, strict has %d\nsrc: %q", len(prog.Body), len(strict.Body), src)
+		}
+		terr, serr := CompileProgram(nil, prog), CompileProgram(nil, strict)
+		if (terr == nil) != (serr == nil) {
+			t.Fatalf("compiler disagrees: tolerant %v, strict %v\nsrc: %q", terr, serr, src)
+		}
+		if d1, d2 := Disassemble(prog), Disassemble(strict); d1 != d2 {
+			t.Fatalf("tolerant and strict programs differ:\n%s\nvs\n%s\nsrc: %q", d1, d2, src)
+		}
+	})
+}
+
+// parseRecoverCorpus decodes FuzzParseRecover's committed corpus files
+// (the single-string `go test fuzz v1` encoding).
+func parseRecoverCorpus(tb testing.TB) []string {
+	tb.Helper()
+	var out []string
+	for _, raw := range fuzzutil.LoadCorpus(tb, filepath.Join("testdata", "fuzz", "FuzzParseRecover")) {
+		lit, ok := strings.CutPrefix(strings.TrimSpace(raw), "go test fuzz v1\nstring(")
+		lit, ok2 := strings.CutSuffix(lit, ")")
+		src, err := strconv.Unquote(lit)
+		if !ok || !ok2 || err != nil {
+			tb.Fatalf("undecodable FuzzParseRecover corpus entry %q", raw)
+		}
+		out = append(out, src)
+	}
+	if len(out) == 0 {
+		tb.Fatal("FuzzParseRecover corpus is empty")
+	}
+	return out
 }

@@ -43,11 +43,13 @@ type ServiceConfig struct {
 	MaxImpressions int
 	// ShedCapacity is the serve-mode admission buffer (0 = 2× queue size).
 	ShedCapacity int
-	// ServeRate paces the serve-mode impression source to roughly this many
-	// offers per second (0 = as fast as the source loop runs). Serve mode is
-	// inherently timing-dependent — shedding depends on how fast the pipeline
-	// drains — so pacing the source is an operational knob, not a determinism
-	// hazard; the finite schedule mode ignores it.
+	// ServeRate paces the serve-mode impression source to this many offers
+	// per second: impression i is offered at start + i/ServeRate, and a
+	// source that falls behind offers every overdue impression at once
+	// (0 = as fast as the source loop runs). Serve mode is inherently
+	// timing-dependent — shedding depends on how fast the pipeline drains —
+	// so pacing the source is an operational knob, not a determinism hazard;
+	// the finite schedule mode ignores it.
 	ServeRate float64
 }
 
@@ -396,42 +398,54 @@ func (s *Service) startServeSource(p *Pipeline, visitCh chan<- seqVisit) *Shedde
 	totalSites := len(s.study.Web.Sites)
 	zipf := stats.NewZipf(len(sites), 1.1)
 	rng := stats.NewRNG(s.study.Cfg.Seed).Fork("stream-serve")
-	var pace *time.Ticker
-	if s.cfg.ServeRate > 0 {
-		interval := time.Duration(float64(time.Second) / s.cfg.ServeRate)
-		if interval <= 0 {
-			interval = time.Nanosecond
-		}
-		pace = time.NewTicker(interval)
-	}
 	go func() {
 		defer shed.Close()
-		if pace != nil {
-			defer pace.Stop()
-		}
-		for i := 0; i < s.cfg.MaxImpressions; i++ {
-			if pace != nil {
-				select {
-				case <-pace.C:
-				case <-p.Draining():
-					return
-				case <-p.WorkContext().Done():
-					return
-				}
-			}
-			select {
-			case <-p.Draining():
-				return
-			case <-p.WorkContext().Done():
-				return
-			default:
-			}
+		paceOffers(s.cfg.MaxImpressions, s.cfg.ServeRate, p.Draining(), p.WorkContext().Done(), func(i int) {
 			site := sites[zipf.Sample(rng)]
 			v := crawler.Visit{Site: site, Day: 1, Refresh: i}
 			shed.Offer(seqVisit{seq: int64(i), v: v}, sitePriority(site, totalSites))
-		}
+		})
 	}()
 	return shed
+}
+
+// paceOffers calls offer(i) for i in [0, n), each when it falls due: offer i
+// is due at start + i/rate. A wake-up that finds several offers overdue (the
+// source was descheduled, or an offer ran long) makes all of them at once,
+// so the source catches up to the schedule instead of dropping its turns and
+// under-delivering the rate. rate <= 0 offers as fast as the loop runs. It
+// stops early when draining or done closes.
+func paceOffers(n int, rate float64, draining, done <-chan struct{}, offer func(i int)) {
+	start := time.Now()
+	var timer *time.Timer
+	for i := 0; i < n; i++ {
+		if rate > 0 {
+			due := start.Add(time.Duration(float64(i) / rate * float64(time.Second)))
+			if wait := time.Until(due); wait > 0 {
+				if timer == nil {
+					timer = time.NewTimer(wait)
+					defer timer.Stop()
+				} else {
+					timer.Reset(wait)
+				}
+				select {
+				case <-timer.C:
+				case <-draining:
+					return
+				case <-done:
+					return
+				}
+			}
+		}
+		select {
+		case <-draining:
+			return
+		case <-done:
+			return
+		default:
+		}
+		offer(i)
+	}
 }
 
 // sitePriority maps the paper's rank clusters onto shed bands: top-ranked

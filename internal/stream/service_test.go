@@ -202,3 +202,55 @@ func TestServiceServeModeShedsCountedUnderOverload(t *testing.T) {
 		t.Fatalf("summary visits %d != delivered %d", res.Summary.Visits, st.Delivered)
 	}
 }
+
+// TestPaceOffersCatchesUpAfterStall pins the serve-rate schedule: offer i is
+// due at start + i/rate, never earlier, and a source that stalls offers
+// every overdue impression on wake-up instead of dropping its turns. A
+// ticker-paced source loses the ticks that fire during the stall and ends
+// a full stall late.
+func TestPaceOffersCatchesUpAfterStall(t *testing.T) {
+	const (
+		n     = 100
+		rate  = 200.0 // 5 ms apart: the schedule lasts 500 ms
+		stall = 400 * time.Millisecond
+	)
+	start := time.Now()
+	at := make([]time.Duration, 0, n)
+	never := make(chan struct{})
+	paceOffers(n, rate, never, never, func(i int) {
+		at = append(at, time.Since(start))
+		if i == 0 {
+			time.Sleep(stall) // a late receiver: 80 offers fall due meanwhile
+		}
+	})
+	if len(at) != n {
+		t.Fatalf("offered %d impressions, want %d", len(at), n)
+	}
+	for i, d := range at {
+		if due := time.Duration(float64(i) / rate * float64(time.Second)); d < due {
+			t.Fatalf("offer %d at %v, before its due time %v", i, d, due)
+		}
+	}
+	// On schedule the last offer is due at 495 ms. A ticker-paced source
+	// resumes after the stall one tick at a time and ends near 900 ms.
+	if last := at[n-1]; last > 700*time.Millisecond {
+		t.Fatalf("last offer at %v: the source did not catch up after a %v stall (schedule ends at %v)",
+			last, stall, time.Duration(float64(n-1)/rate*float64(time.Second)))
+	}
+}
+
+// TestPaceOffersStopsOnDrain checks the paced source returns promptly when
+// the pipeline drains mid-schedule.
+func TestPaceOffersStopsOnDrain(t *testing.T) {
+	draining := make(chan struct{})
+	offered := 0
+	paceOffers(1000, 100, draining, nil, func(i int) {
+		offered++
+		if i == 2 {
+			close(draining)
+		}
+	})
+	if offered != 3 {
+		t.Fatalf("offered %d impressions after drain at the third, want 3", offered)
+	}
+}
