@@ -117,28 +117,47 @@ func TestServiceKillRecoverByteIdentical(t *testing.T) {
 	}
 }
 
+// drainOnCommit requests a graceful drain from inside the first journal
+// append, so the drain lands mid-stream however fast the machine runs.
+type drainOnCommit struct {
+	journal.Backend
+	cancel context.CancelFunc
+}
+
+func (d *drainOnCommit) Append(frame []byte) error {
+	d.cancel()
+	return d.Backend.Append(frame)
+}
+
 func TestServiceDrainThenRecoverByteIdentical(t *testing.T) {
 	baseline := runToCompletion(t, newTestService(t, 13, journal.NewMem(), nil))
 
-	// Request a graceful drain almost immediately: in-flight visits finish
-	// and commit, the rest stay pending. A recovered service finishes the
-	// stream and must land on the baseline bytes.
+	// Request a graceful drain at the first commit: in-flight visits finish
+	// and commit, the rest stay pending. One-slot queues and single workers
+	// keep almost all of the schedule out of the pipeline when the drain
+	// lands. A recovered service finishes the stream and must land on the
+	// baseline bytes.
 	mem := journal.NewMem()
-	svc := newTestService(t, 13, mem, nil)
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	svc := newTestService(t, 13, &drainOnCommit{Backend: mem, cancel: cancel}, func(c *ServiceConfig) {
+		c.Stream.Queue = 1
+		c.CrawlWorkers = 1
+		c.AnalyzeWorkers = 1
+	})
 	partial, err := svc.Run(ctx)
 	if err != nil {
 		t.Fatalf("drained run: %v", err)
 	}
-	if partial.Summary.Visits >= baseline.Summary.Visits {
-		t.Skip("drain landed after the stream finished; nothing left to recover")
+	if partial.Summary.Visits == 0 || partial.Summary.Visits >= baseline.Summary.Visits {
+		t.Fatalf("drained run committed %d of %d visits, want a strict non-empty prefix",
+			partial.Summary.Visits, baseline.Summary.Visits)
 	}
 
 	svc = newTestService(t, 13, mem, nil)
+	if got := svc.Recovered(); got != int64(partial.Summary.Visits) {
+		t.Fatalf("recovered %d visits, drained run committed %d", got, partial.Summary.Visits)
+	}
 	final := runToCompletion(t, svc)
 	if !bytes.Equal(final.Summary.JSON(), baseline.Summary.JSON()) {
 		t.Fatalf("drained-and-recovered summary differs from baseline:\n%s\n%s",
