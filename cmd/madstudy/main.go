@@ -40,7 +40,6 @@ import (
 	"madave/internal/analysis"
 	"madave/internal/journal"
 	"madave/internal/memnet"
-	"madave/internal/netcap"
 	"madave/internal/opsd"
 	"madave/internal/stream"
 	"madave/internal/telemetry"
@@ -183,12 +182,12 @@ func main() {
 		return
 	}
 
-	crawlStart := time.Now()
-	var corp *madave.Corpus
-	var stats *madave.CrawlStats
+	// A traced run crawls, then classifies, so the whole trace can be saved
+	// first; otherwise RunContext classifies each ad as the crawl sees it.
+	runStart := time.Now()
+	var results *madave.Results
 	if *traceOut != "" {
-		var trace *netcap.Capture
-		corp, stats, trace = study.CrawlTraced()
+		corp, stats, trace := study.CrawlTraced()
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			log.Fatal(err)
@@ -204,15 +203,19 @@ func main() {
 			fmt.Printf("  busiest: %-40s %6d transactions %10d bytes\n",
 				hs.Host, hs.Transactions, hs.Bytes)
 		}
+		verdicts := study.ClassifyContext(ctx, corp)
+		results = &madave.Results{Corpus: corp, CrawlStats: stats, Oracle: verdicts,
+			Report: study.Analyze(corp, verdicts, stats)}
 	} else {
-		corp, stats = study.CrawlContext(ctx)
+		results = study.RunContext(ctx)
 	}
+	elapsed := time.Since(runStart).Round(time.Millisecond)
+	corp, stats, verdicts, report := results.Corpus, results.CrawlStats, results.Oracle, results.Report
 	if ctx.Err() != nil {
 		fmt.Println("interrupted — reporting over the partial crawl")
 	}
-	fmt.Printf("crawl: %d pages, %d ad frames, %d unique ads (%v)\n",
-		stats.PagesVisited, stats.AdFrames, corp.Len(),
-		time.Since(crawlStart).Round(time.Millisecond))
+	fmt.Printf("crawl: %d pages, %d ad frames, %d unique ads\n",
+		stats.PagesVisited, stats.AdFrames, corp.Len())
 	if *chaos > 0 {
 		fmt.Printf("resilience: %d retries, %d attempt timeouts, %d truncations, %d circuit opens (%d requests shed), %d degraded pages\n",
 			stats.Retries, stats.Timeouts, stats.Truncations,
@@ -221,18 +224,13 @@ func main() {
 			stats.PageErrors, stats.NXDomainErrors, stats.TimeoutErrors,
 			stats.HTTPErrors, stats.OtherErrors)
 	}
-
-	oracleStart := time.Now()
-	verdicts := study.ClassifyContext(ctx, corp)
-	fmt.Printf("oracle: %d incidents among %d ads — %.2f%% malicious (%v)\n",
-		verdicts.MaliciousCount(), verdicts.Scanned, 100*verdicts.MaliciousRate(),
-		time.Since(oracleStart).Round(time.Millisecond))
+	fmt.Printf("oracle: %d incidents among %d ads — %.2f%% malicious (crawl + oracle %v)\n",
+		verdicts.MaliciousCount(), verdicts.Scanned, 100*verdicts.MaliciousRate(), elapsed)
 	if verdicts.Degraded > 0 {
 		fmt.Printf("oracle: %d verdicts rest on partial (degraded) evidence\n", verdicts.Degraded)
 	}
 	fmt.Println()
 
-	report := study.Analyze(corp, verdicts, stats)
 	fmt.Println(report.RenderText())
 	if report.Graph != nil {
 		fmt.Println(report.Graph.RenderText())
@@ -300,7 +298,6 @@ func main() {
 		}
 	}
 
-	results := &madave.Results{Corpus: corp, CrawlStats: stats, Oracle: verdicts, Report: report}
 	var cmps []madave.Comparison
 	if *defenses {
 		fmt.Println("\nCountermeasures (§5)")

@@ -1,7 +1,8 @@
 // Package core is the study engine: it assembles the full simulation (the
 // synthetic web, the ad ecosystem, the HTTP universe), runs the paper's
-// two-phase methodology — crawl (§3.1) then oracle classification (§3.2) —
-// and produces the analysis report reproducing §4's tables and figures.
+// methodology — crawl (§3.1) and oracle classification (§3.2), each ad
+// classified as the crawl first sees it — and produces the analysis report
+// reproducing §4's tables and figures.
 //
 // The root package madave wraps this engine with the public API.
 package core
@@ -326,13 +327,25 @@ func (s *Study) Run() *Results {
 	return s.RunContext(context.Background())
 }
 
-// RunContext is Run under a caller-supplied context. Cancellation stops
-// scheduling new work but still classifies and analyzes whatever the crawl
-// collected, so an interrupted run yields its partial tables instead of
-// nothing.
+// RunContext is Run under a caller-supplied context. Each ad is classified
+// as soon as the crawl first sees it: the crawl feeds new corpus ads to the
+// oracle's classification pool (Oracle.Parallelism workers behind a small
+// bounded queue) and keeps running, so the honeyclient re-executes an ad's
+// scripts while the code cache still holds them, and a clean ad's report is
+// dropped as its verdict is folded.
+//
+// Cancellation stops the crawl after its in-flight visits and stops feeding
+// the pool. The result keeps every verdict that finished before the cancel;
+// verdicts the cancel cut short are dropped, and the ads they and the queue
+// held stay in the corpus unscanned (Oracle.Scanned < Corpus.Len()). The
+// analysis then runs over that partial crawl and its verdicts, so an
+// interrupted run still yields its partial tables.
 func (s *Study) RunContext(ctx context.Context) *Results {
-	corp, st := s.CrawlContext(ctx)
-	res := s.ClassifyContext(ctx, corp)
+	pool := s.Oracle.NewPool(ctx)
+	cr := s.newCrawler()
+	cr.NewAd = func(ad *corpus.Ad) { pool.Submit(ad) }
+	corp, st := cr.RunContext(ctx, s.CrawlSites())
+	res := pool.Finish(corp.All())
 	rep := s.Analyze(corp, res, st)
 	return &Results{Corpus: corp, CrawlStats: st, Oracle: res, Report: rep}
 }

@@ -120,8 +120,14 @@ type Crawler struct {
 	// KeepTraffic retains the full HTTP transaction log of the crawl
 	// (§3.1: "we captured all the HTTP traffic during crawling for further
 	// investigation"). After Run, the merged trace is available via
-	// Traffic(). Off by default: a large crawl's trace is big.
+	// Traffic(). Off by default: a large crawl's trace is big, so a worker's
+	// capture then holds only the current visit's transactions.
 	KeepTraffic bool
+	// NewAd, when set, is called by Run's workers with every ad the corpus
+	// had not seen before, right after it is added. It may block (a study
+	// uses it to feed the classification pool as the crawl goes), which
+	// holds up only the calling worker.
+	NewAd func(*corpus.Ad)
 	// Telemetry, when non-nil, receives the crawl's metrics (counters,
 	// stage latency histograms) and — if its tracer is enabled — the span
 	// tree of every visit. When nil the crawler uses a private registry, so
@@ -328,12 +334,18 @@ func (c *Crawler) newWorkerBrowser(worker int, counters *resilient.Counters) *br
 // crawlPage loads one page visit and folds the observation into the crawl
 // metrics and corpus. The observation itself (visitOnce) is shared with the
 // streaming service's hermetic CrawlOne, so both paths classify and harvest
-// identically.
+// identically. Unless KeepTraffic is set, the worker's capture is emptied
+// as the visit ends: nothing reads a visit's transactions past it.
 func (c *Crawler) crawlPage(ctx context.Context, b *browser.Browser, mctx *easylist.RequestCtx, v Visit, corp *corpus.Corpus, m *crawlMetrics) {
 	out := c.visitOnce(ctx, m.tel, b, mctx, v)
+	if !c.KeepTraffic {
+		b.Capture.Reset()
+	}
 	m.record(out)
 	for _, ha := range out.Ads {
-		corp.Add(ha.Ad)
+		if corp.Add(ha.Ad) && c.NewAd != nil {
+			c.NewAd(ha.Ad)
+		}
 	}
 }
 

@@ -26,12 +26,13 @@ import (
 )
 
 // DefaultCodeCacheEntries bounds the number of distinct scripts kept
-// compiled. In a streaming study the crawler's and the honeyclient's loads
-// of one script are at most a few inter-stage queues apart, which 1k
-// entries (64 per shard) cover; a batch run's corpus-order rescan of more
-// distinct scripts than this cannot hit at any size short of the corpus,
-// and every retained program counts twice against the GC's heap target,
-// so a bigger cache would only raise peak memory (see DESIGN.md §13).
+// compiled. In both the streaming service and the batch study the
+// crawler's and the honeyclient's loads of one script are at most a few
+// queue slots apart, which 1k entries (64 per shard) cover. Only a caller
+// that crawls everything before classifying rescans more distinct scripts
+// than this, which cannot hit at any size short of the corpus; every
+// retained program counts twice against the GC's heap target, so a bigger
+// cache would only raise peak memory (see DESIGN.md §13).
 const DefaultCodeCacheEntries = 1 << 10
 
 // cachedScript is the one cache entry per source.

@@ -196,10 +196,12 @@ func (c *Capture) All() []Transaction {
 	return out
 }
 
-// Reset clears the log.
+// Reset clears the log. The backing array is kept for reuse, with its
+// entries zeroed so the cleared transactions' strings can be collected.
 func (c *Capture) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	clear(c.log)
 	c.log = c.log[:0]
 }
 

@@ -15,7 +15,6 @@ package oracle
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"madave/internal/avscan"
 	"madave/internal/blacklist"
@@ -71,7 +70,8 @@ type Oracle struct {
 	Honey   *honeyclient.Honeyclient
 	Lists   *blacklist.Tracker
 	Scanner *avscan.Scanner
-	// Parallelism bounds concurrent classifications in ClassifyCorpus.
+	// Parallelism is the worker count of a classification Pool (the batch
+	// study's and ClassifyCorpus's).
 	Parallelism int
 	// TemporalBlacklists makes the blacklist check honor per-listing
 	// discovery days (blacklist.BuildTemporal): an ad observed on crawl
@@ -265,69 +265,137 @@ func (o *Oracle) ClassifyCorpus(c *corpus.Corpus) *Result {
 }
 
 // ClassifyCorpusContext is ClassifyCorpus under a caller-supplied context:
-// cancelling it stops the pool after in-flight classifications finish, and
-// the partial aggregate covers only the ads actually scanned.
+// cancelling it stops handing out ads, and the partial aggregate covers only
+// the verdicts that finished before the cancel (see Pool).
 func (o *Oracle) ClassifyCorpusContext(ctx context.Context, c *corpus.Corpus) *Result {
+	p := o.NewPool(ctx)
+	ads := c.All()
+	for _, ad := range ads {
+		if !p.Submit(ad) {
+			break
+		}
+	}
+	return p.Finish(ads)
+}
+
+// Pool classifies advertisements as they are submitted, on Parallelism
+// workers fed through a small bounded queue, and folds each verdict into
+// the aggregate as it arrives. Only incidents and graph findings are kept
+// past their verdict; a clean ad's honeyclient report is dropped at once.
+//
+// Cancellation keeps the verdicts that finished before it. A verdict still
+// running at the cancel may rest on a truncated execution, so it is dropped,
+// neither scanned nor degraded, and ads still queued are left unscanned. The
+// streaming service aborts a cut-short visit the same way.
+type Pool struct {
+	o     *Oracle
+	ctx   context.Context
+	queue chan *corpus.Ad
+	wg    sync.WaitGroup
+
+	mu        sync.Mutex
+	res       Result
+	incidents map[string]Incident
+	findings  map[string]GraphFinding
+}
+
+// NewPool starts a classification pool under ctx. Every Pool must be
+// finished with Finish.
+func (o *Oracle) NewPool(ctx context.Context) *Pool {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ads := c.All()
-	incidents := make([]Incident, len(ads))
-	scanned := make([]bool, len(ads))
-
 	par := o.Parallelism
 	if par <= 0 {
 		par = 4
 	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				// Check cancellation both before and after claiming an
-				// index: a worker that loses the race (ctx cancelled
-				// between check and claim) abandons its slot instead of
-				// burning an Incident and a scanned entry on a verdict
-				// nobody will trust.
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(ads) || ctx.Err() != nil {
-					return
-				}
-				incidents[i] = o.ClassifyContext(ctx, ads[i])
-				scanned[i] = true
-			}
-		}()
+	p := &Pool{
+		o:   o,
+		ctx: ctx,
+		// One slot per worker keeps the workers fed while producers are
+		// mid-visit, yet keeps classification within a few ads of the
+		// crawl, so the ad's scripts are still in the code cache.
+		queue:     make(chan *corpus.Ad, par),
+		res:       Result{ByCategory: map[Category]int{}},
+		incidents: map[string]Incident{},
+		findings:  map[string]GraphFinding{},
 	}
-	wg.Wait()
+	p.wg.Add(par)
+	for w := 0; w < par; w++ {
+		go p.work()
+	}
+	return p
+}
 
-	res := &Result{ByCategory: map[Category]int{}}
-	for i, inc := range incidents {
-		if !scanned[i] {
+// Submit queues ad for classification, blocking while the queue is full.
+// It returns false, without queueing, once the pool's context is cancelled:
+// a cancelled producer never stays blocked on a full queue. Submit must not
+// be called after Finish.
+func (p *Pool) Submit(ad *corpus.Ad) bool {
+	if p.ctx.Err() != nil {
+		return false
+	}
+	select {
+	case p.queue <- ad:
+		return true
+	case <-p.ctx.Done():
+		return false
+	}
+}
+
+// work classifies queued ads until the queue closes. After a cancel it
+// drains the queue without classifying, so producers never block.
+func (p *Pool) work() {
+	defer p.wg.Done()
+	for ad := range p.queue {
+		if p.ctx.Err() != nil {
 			continue
 		}
-		res.Scanned++
-		if inc.Report != nil && inc.Report.Degraded {
-			res.Degraded++
+		inc := p.o.ClassifyContext(p.ctx, ad)
+		if p.ctx.Err() != nil {
+			continue
 		}
-		if inc.Malicious() {
-			res.Incidents = append(res.Incidents, inc)
-			res.ByCategory[inc.Category]++
-		}
-		if inc.Report != nil && inc.Report.Graph != nil {
-			res.GraphScanned++
-			if inc.Report.Graph.Verdict.Malicious {
-				res.GraphFindings = append(res.GraphFindings, GraphFinding{
-					AdHash:   inc.AdHash,
-					Signals:  inc.Report.Graph.Verdict.Signals,
-					Features: inc.Report.Graph.Features,
-				})
+		p.add(inc)
+	}
+}
+
+// add folds one finished verdict into the aggregate.
+func (p *Pool) add(inc Incident) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.res.Scanned++
+	if inc.Report != nil && inc.Report.Degraded {
+		p.res.Degraded++
+	}
+	if inc.Malicious() {
+		p.incidents[inc.AdHash] = inc
+		p.res.ByCategory[inc.Category]++
+	}
+	if inc.Report != nil && inc.Report.Graph != nil {
+		p.res.GraphScanned++
+		if inc.Report.Graph.Verdict.Malicious {
+			p.findings[inc.AdHash] = GraphFinding{
+				AdHash:   inc.AdHash,
+				Signals:  inc.Report.Graph.Verdict.Signals,
+				Features: inc.Report.Graph.Features,
 			}
 		}
 	}
-	return res
+}
+
+// Finish waits for every submitted ad and returns the aggregate, listing
+// incidents and graph findings in the order of ads (the corpus order).
+func (p *Pool) Finish(ads []*corpus.Ad) *Result {
+	close(p.queue)
+	p.wg.Wait()
+	res := p.res
+	for _, ad := range ads {
+		if inc, ok := p.incidents[ad.Hash]; ok {
+			res.Incidents = append(res.Incidents, inc)
+		}
+		if gf, ok := p.findings[ad.Hash]; ok {
+			res.GraphFindings = append(res.GraphFindings, gf)
+		}
+	}
+	return &res
 }

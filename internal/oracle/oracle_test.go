@@ -1,8 +1,11 @@
 package oracle
 
 import (
+	"context"
+	"net/http"
 	"sync"
 	"testing"
+	"time"
 
 	"madave/internal/adnet"
 	"madave/internal/adserver"
@@ -270,5 +273,62 @@ func TestClassifyEveryKindViaSnapshot(t *testing.T) {
 	}
 	if len(covered) != len(wantByKind) {
 		t.Fatalf("covered %d/%d kinds: %v", len(covered), len(wantByKind), covered)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestPoolCancelUnblocksSubmit wedges a one-worker pool: its only worker is
+// stuck in a fetch and its queue is full, so Submit blocks. Cancelling must
+// release the blocked producer, and the verdict the cancel cut short must be
+// dropped rather than counted as scanned or degraded.
+func TestPoolCancelUnblocksSubmit(t *testing.T) {
+	ora, _, corp := fixture(t)
+	started := make(chan struct{}, 1)
+	hc := honeyclient.New(fixU, 11)
+	hc.Transport = func() http.RoundTripper {
+		return roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-req.Context().Done()
+			return nil, req.Context().Err()
+		})
+	}
+	wedged := &Oracle{Honey: hc, Lists: ora.Lists, Scanner: ora.Scanner, Parallelism: 1}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := wedged.NewPool(ctx)
+	ads := corp.All()[:3]
+	if !p.Submit(ads[0]) {
+		t.Fatal("Submit refused an ad before any cancel")
+	}
+	<-started // the worker is stuck classifying ads[0]
+	if !p.Submit(ads[1]) {
+		t.Fatal("Submit refused an ad before any cancel")
+	}
+	// The queue is full, so this Submit can only return false: it either
+	// blocks until the cancel releases it or starts after the cancel.
+	done := make(chan bool)
+	go func() { done <- p.Submit(ads[2]) }()
+	cancel()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("Submit queued an ad into a full queue")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancel left Submit blocked on a full queue")
+	}
+	if p.Submit(ads[2]) {
+		t.Fatal("Submit queued an ad after the cancel")
+	}
+	res := p.Finish(ads)
+	if res.Scanned != 0 || res.Degraded != 0 || len(res.Incidents) != 0 {
+		t.Fatalf("cut-short verdicts were counted: %+v", res)
 	}
 }
