@@ -228,8 +228,10 @@ type Browser struct {
 	// Client performs HTTP; it must not follow redirects itself (the
 	// browser follows them so each hop is observable).
 	Client *http.Client
-	// Capture, when set, tags and records synthetic events (blocked
-	// navigations) alongside the transport capture.
+	// Capture, when set, is the capture recording this browser's traffic
+	// (the transport records it). Before each fetch the browser stamps
+	// it with the fetch's provenance (frame path, initiator, via); the
+	// browser itself records nothing in it.
 	Capture *netcap.Capture
 	// Tel, when non-nil, records a browser.load span per frame (the top
 	// document and each iframe, nested) and stage latency samples.

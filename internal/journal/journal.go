@@ -216,17 +216,52 @@ func (m *Mem) Close() error {
 }
 
 // File is the on-disk backend: one frame per line, flushed (not fsynced)
-// per append.
+// per append. Its compaction finishes in the background: CompactTo stages
+// the checkpoint and returns, and appends keep landing in the old log until
+// the checkpoint (fsynced) and the records appended since replace it.
 type File struct {
 	mu   sync.Mutex
 	f    *os.File
 	w    *bufio.Writer
 	path string
+
+	// cur is the compaction in flight, nil when there is none. It stays set
+	// until the replaced log's handle is closed.
+	cur *compaction
+	// err is the first background compaction failure. Once set, Append,
+	// CompactTo and Close return it.
+	err error
+	// step, when set, is called between the background steps of a
+	// compaction, with no lock held: "staged" before the fsync, "synced"
+	// before the swap, "swapped" before the replaced log is closed.
+	step func(name string)
 }
+
+// compaction is one File compaction past its staging.
+type compaction struct {
+	tmp  *os.File // the staged checkpoint at <path>.compact
+	mark int64    // log offset the checkpoint covers up to
+	// swapped closes once the compaction can no longer rename: the new log
+	// is in place, or the compaction failed.
+	swapped chan struct{}
+	// done closes once the compaction is over and the replaced handle is
+	// closed.
+	done chan struct{}
+}
+
+// ErrCompactBusy is returned by File.CompactTo while an earlier compaction
+// is still finishing. The call changes nothing; the caller may retry later.
+var ErrCompactBusy = errors.New("journal: compaction in flight")
+
+// ErrCompactFailed wraps a background compaction failure, as returned by
+// every later Append, CompactTo, WaitCompact and Close. The log it failed
+// to replace is left intact.
+var ErrCompactFailed = errors.New("journal: background compaction failed")
 
 // OpenFile opens (or creates) a file journal. Any torn or corrupt tail from
 // a previous crash is truncated away before the journal accepts appends, so
-// recovery and subsequent writes always operate on an intact log.
+// recovery and subsequent writes always operate on an intact log. A
+// <path>.compact file left by a crash mid-compaction is never read.
 func OpenFile(path string) (*File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -273,12 +308,35 @@ func scanValid(f *os.File) (int64, error) {
 // Path returns the journal file's path.
 func (b *File) Path() string { return b.path }
 
+// usable reports why b cannot take a write: closed, or failed. Called with
+// b.mu held.
+func (b *File) usable(op string) error {
+	if b.err != nil {
+		return b.err
+	}
+	if b.f == nil {
+		return fmt.Errorf("journal: %s closed backend", op)
+	}
+	return nil
+}
+
+// lockIdle locks b once no compaction is in flight.
+func (b *File) lockIdle() {
+	b.mu.Lock()
+	for b.cur != nil {
+		done := b.cur.done
+		b.mu.Unlock()
+		<-done
+		b.mu.Lock()
+	}
+}
+
 // Append implements Backend.
 func (b *File) Append(frame []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.f == nil {
-		return errors.New("journal: append to closed backend")
+	if err := b.usable("append to"); err != nil {
+		return err
 	}
 	if _, err := b.w.Write(frame); err != nil {
 		return err
@@ -289,10 +347,11 @@ func (b *File) Append(frame []byte) error {
 	return b.w.Flush()
 }
 
-// ReadAll implements Backend. It re-reads the file from the start; the open
-// handle's write position is restored afterwards.
+// ReadAll implements Backend. It waits for a compaction in flight, then
+// re-reads the file from the start; the open handle's write position is
+// restored afterwards.
 func (b *File) ReadAll() ([][]byte, error) {
-	b.mu.Lock()
+	b.lockIdle()
 	defer b.mu.Unlock()
 	if b.f == nil {
 		return nil, errors.New("journal: read from closed backend")
@@ -324,40 +383,124 @@ func (b *File) ReadAll() ([][]byte, error) {
 	return out, nil
 }
 
-// CompactTo implements Compactor for an open file journal: the log is
-// rewritten via Compact's temp-file + rename, then the open handle is moved
-// to the new file so subsequent appends land after the checkpoint.
+// CompactTo implements Compactor for an open file journal. It replaces
+// every record appended before the call with recs, and records appended
+// afterwards follow them in the new log. The call only stages recs in
+// <path>.compact and returns; a background goroutine then fsyncs the
+// checkpoint, carries over the records appended since the call, renames
+// the staged file over the log, moves the handle to it, and closes the
+// replaced log. Until that close, a further call returns ErrCompactBusy.
 func (b *File) CompactTo(recs []Record) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.f == nil {
-		return errors.New("journal: compact of closed backend")
+	if err := b.usable("compact of"); err != nil {
+		return err
+	}
+	if b.cur != nil {
+		return ErrCompactBusy
 	}
 	if err := b.w.Flush(); err != nil {
 		return err
 	}
-	if err := Compact(b.path, recs); err != nil {
-		return err
-	}
-	// The old handle now points at the unlinked pre-compaction inode; swap
-	// in the replacement and seek to its end for appends.
-	f, err := os.OpenFile(b.path, os.O_RDWR, 0o644)
+	mark, err := b.f.Seek(0, io.SeekCurrent)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
+	tmp, err := stage(b.path, recs)
+	if err != nil {
 		return err
 	}
-	b.f.Close()
-	b.f = f
-	b.w = bufio.NewWriter(f)
+	c := &compaction{tmp: tmp, mark: mark, swapped: make(chan struct{}), done: make(chan struct{})}
+	b.cur = c
+	go b.finish(c)
 	return nil
 }
 
-// Close implements Backend.
-func (b *File) Close() error {
+// finish runs a staged compaction to its end. Until the rename, a crash
+// leaves the complete old log; after it, the checkpoint plus every record
+// appended after the mark.
+func (b *File) finish(c *compaction) {
+	b.pause("staged")
+	err := c.tmp.Sync() // the checkpoint is on disk before it can replace history
+	b.pause("synced")
+	var old *os.File
+	if err == nil {
+		old, err = b.swap(c)
+	}
+	if err != nil {
+		c.tmp.Close()
+		os.Remove(c.tmp.Name())
+		b.mu.Lock()
+		b.err = fmt.Errorf("%w: %v", ErrCompactFailed, err)
+		b.cur = nil
+		b.mu.Unlock()
+		close(c.swapped)
+		close(c.done)
+		return
+	}
+	close(c.swapped)
+	b.pause("swapped")
+	// Closing the replaced log's last handle frees its blocks, which costs
+	// tens of milliseconds on ext4 whatever the file's size. That is why
+	// the whole compaction runs off the caller's path. The file is
+	// unlinked and its records were carried over, so a close error loses
+	// nothing.
+	_ = old.Close()
 	b.mu.Lock()
+	b.cur = nil
+	b.mu.Unlock()
+	close(c.done)
+}
+
+// swap appends the records written since the mark to the staged file,
+// renames it over the log and moves the handle to it. It returns the
+// replaced log's handle.
+func (b *File) swap(c *compaction) (*os.File, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err := b.w.Flush(); err != nil {
+		return nil, err
+	}
+	end, err := b.f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := io.Copy(c.tmp, io.NewSectionReader(b.f, c.mark, end-c.mark)); err != nil {
+		return nil, err
+	}
+	if err := os.Rename(c.tmp.Name(), b.path); err != nil {
+		return nil, err
+	}
+	old := b.f
+	b.f = c.tmp
+	b.w.Reset(c.tmp)
+	return old, nil
+}
+
+func (b *File) pause(step string) {
+	if b.step != nil {
+		b.step(step)
+	}
+}
+
+// WaitCompact blocks until no compaction started so far can still rename
+// the log, and returns the first background compaction failure, if any.
+func (b *File) WaitCompact() error {
+	b.mu.Lock()
+	c := b.cur
+	b.mu.Unlock()
+	if c != nil {
+		<-c.swapped
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.err
+}
+
+// Close implements Backend. It waits for a compaction in flight and
+// returns its failure, if it failed.
+func (b *File) Close() error {
+	b.lockIdle()
 	defer b.mu.Unlock()
 	if b.f == nil {
 		return nil
@@ -367,6 +510,9 @@ func (b *File) Close() error {
 		err = cerr
 	}
 	b.f = nil
+	if b.err != nil {
+		return b.err
+	}
 	return err
 }
 
@@ -428,37 +574,40 @@ func Replay(b Backend, fn func(Record) error) error {
 	return nil
 }
 
-// Compact rewrites a file journal to contain only the given records
+// Compact rewrites a closed file journal to contain only the given records
 // (typically one checkpoint plus its tail), bounding log growth. The
 // rewrite goes through a temp file + rename so a crash mid-compaction
 // leaves either the old or the new log, never a mix.
 func Compact(path string, recs []Record) error {
-	tmp := path + ".compact"
-	f, err := os.Create(tmp)
+	f, err := stage(path, recs)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	for _, r := range recs {
-		if _, err := w.Write(frame(r.Kind, r.Payload)); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if err := f.Sync(); err != nil { // compaction replaces history
 		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil { // the one fsync: compaction replaces history
-		f.Close()
-		os.Remove(tmp)
+		os.Remove(f.Name())
 		return err
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+		os.Remove(f.Name())
 		return err
 	}
-	return os.Rename(tmp, path)
+	return os.Rename(f.Name(), path)
+}
+
+// stage writes recs to a fresh <path>.compact, not yet synced, and returns
+// it open for further writes.
+func stage(path string, recs []Record) (*os.File, error) {
+	f, err := os.OpenFile(path+".compact", os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range recs {
+		if _, err := f.Write(frame(r.Kind, r.Payload)); err != nil {
+			f.Close()
+			os.Remove(f.Name())
+			return nil, err
+		}
+	}
+	return f, nil
 }

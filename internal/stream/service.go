@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -24,11 +25,13 @@ type ServiceConfig struct {
 	// Journal is the crash-safety backend (required). Appends to it are the
 	// commit points; its replay is the recovery path.
 	Journal journal.Backend
-	// CheckpointEvery compacts the journal to one checkpoint record after
-	// that many commits (0 = DefaultCheckpointEvery, negative = never).
-	// Compaction requires the backend to implement journal.Compactor;
-	// otherwise checkpoints are skipped silently-but-countedly
-	// (stream_checkpoint_skipped_total).
+	// CheckpointEvery compacts the journal to one checkpoint record at most
+	// once per that many commits (0 = DefaultCheckpointEvery, negative =
+	// never): at each multiple of it, unless the previous compaction is
+	// still finishing (journal.ErrCompactBusy), in which case the next
+	// multiple tries again. Compaction requires the backend to implement
+	// journal.Compactor. Skipped checkpoints are counted by
+	// stream_checkpoint_skipped_total, with reason "busy" or "unsupported".
 	CheckpointEvery int
 	// CrawlWorkers and AnalyzeWorkers size the two processing pools
 	// (0 = the study's crawl parallelism / oracle parallelism).
@@ -66,7 +69,7 @@ type Ops struct {
 	Recovered   int64     // records replayed from the journal before this run
 	Committed   int64     // records appended by this run
 	Aborted     int64     // outcomes cut off mid-flight (never journaled)
-	Checkpoints int64     // journal compactions performed
+	Checkpoints int64     // journal compactions started (busy skips excluded)
 	Restarts    int64     // supervised worker restarts (panics + wedges)
 	Shed        ShedStats // admission accounting (serve mode)
 }
@@ -336,11 +339,13 @@ func (s *Service) Run(ctx context.Context) (*RunResult, error) {
 		})
 
 	ops := &Ops{Recovered: s.recovered}
-	commitDone := make(chan struct{})
-	go s.commitLoop(p, recCh, ops, commitDone)
+	commitErr := make(chan error, 1)
+	go func() { commitErr <- s.commitLoop(p, recCh, ops) }()
 
 	err := p.Wait()
-	<-commitDone
+	if cerr := <-commitErr; err == nil {
+		err = cerr
+	}
 	if shed != nil {
 		ops.Shed = shed.Stats()
 	}
@@ -505,16 +510,24 @@ func (s *Service) analyzeWork(ctx context.Context, vo visitOut) VisitRecord {
 // commitLoop is the single journal writer: one span per record, append as
 // the commit point, fold into the aggregate, compact periodically. A journal
 // failure fails the pipeline — a service that cannot persist must stop, not
-// silently diverge from its log.
-func (s *Service) commitLoop(p *Pipeline, recCh <-chan VisitRecord, ops *Ops, done chan<- struct{}) {
-	defer close(done)
+// silently diverge from its log. Once recCh closes, it waits until no
+// compaction it started can still rename the journal, and returns a failure
+// of one that the pipeline has not seen yet.
+func (s *Service) commitLoop(p *Pipeline, recCh <-chan VisitRecord, ops *Ops) error {
 	abortCount := s.tel.Counter("stream_aborted_total")
-	skipCount := s.tel.Counter("stream_checkpoint_skipped_total")
+	busyCount := s.tel.Counter("stream_checkpoint_skipped_total", telemetry.L("reason", "busy"))
+	unsupportedCount := s.tel.Counter("stream_checkpoint_skipped_total", telemetry.L("reason", "unsupported"))
 	ckptCount := s.tel.Counter("stream_checkpoints_total")
 	commitCount := s.tel.Counter("stream_committed_total")
 	commitSeq := s.tel.Gauge("stream_commit_seq")
 	errAppend := s.tel.Counter("stream_commit_errors_total", telemetry.L("cause", "append"))
 	errCompact := s.tel.Counter("stream_commit_errors_total", telemetry.L("cause", "compact"))
+	compactFailed := func(err error) error {
+		errCompact.Inc()
+		s.tel.Event(telemetry.LevelError, telemetry.EventJournalFailure, "commit",
+			"checkpoint compaction failed", "err", err.Error())
+		return fmt.Errorf("stream: checkpoint compaction: %w", err)
+	}
 	failed := false
 	for rec := range recCh {
 		if rec.Aborted {
@@ -529,6 +542,10 @@ func (s *Service) commitLoop(p *Pipeline, recCh <-chan VisitRecord, ops *Ops, do
 		if err := s.log.Append(RecordKind, rec); err != nil {
 			sp.End()
 			failed = true
+			if errors.Is(err, journal.ErrCompactFailed) {
+				p.Fail(compactFailed(err))
+				continue
+			}
 			errAppend.Inc()
 			s.tel.Event(telemetry.LevelError, telemetry.EventJournalFailure, "commit",
 				"journal append failed", "err", err.Error())
@@ -540,27 +557,43 @@ func (s *Service) commitLoop(p *Pipeline, recCh <-chan VisitRecord, ops *Ops, do
 		commitCount.Inc()
 		commitSeq.Set(ops.Committed)
 		if s.cfg.CheckpointEvery > 0 && ops.Committed%int64(s.cfg.CheckpointEvery) == 0 {
-			if c, ok := s.cfg.Journal.(journal.Compactor); ok {
-				if err := s.compact(c); err != nil {
-					sp.End()
-					failed = true
-					errCompact.Inc()
-					s.tel.Event(telemetry.LevelError, telemetry.EventJournalFailure, "commit",
-						"checkpoint compaction failed", "err", err.Error())
-					p.Fail(fmt.Errorf("stream: checkpoint compaction: %w", err))
-					continue
-				}
+			c, ok := s.cfg.Journal.(journal.Compactor)
+			var err error
+			if ok {
+				err = s.compact(c)
+			}
+			switch {
+			case !ok:
+				unsupportedCount.Inc()
+			case errors.Is(err, journal.ErrCompactBusy):
+				busyCount.Inc()
+			case err != nil:
+				failed = true
+				p.Fail(compactFailed(err))
+			default:
 				ops.Checkpoints++
 				ckptCount.Inc()
 				s.tel.Event(telemetry.LevelInfo, telemetry.EventCheckpoint, "commit",
 					"journal compacted to checkpoint",
 					"committed", strconv.FormatInt(ops.Committed, 10))
-			} else {
-				skipCount.Inc()
 			}
 		}
 		sp.End()
 	}
+	if w, ok := s.cfg.Journal.(compactWaiter); ok {
+		if err := w.WaitCompact(); err != nil && !failed {
+			return compactFailed(err)
+		}
+	}
+	return nil
+}
+
+// compactWaiter is implemented by backends whose compaction finishes after
+// CompactTo returns (journal.File).
+type compactWaiter interface {
+	// WaitCompact blocks until no compaction started so far can still
+	// rename the journal, and returns the first background failure.
+	WaitCompact() error
 }
 
 // compact rewrites the journal as one checkpoint record.

@@ -11,7 +11,6 @@ package webgen
 
 import (
 	"fmt"
-	"sort"
 
 	"madave/internal/stats"
 )
@@ -305,27 +304,36 @@ func (w *Web) BottomSlice(n int) []*Site {
 // of the ranking (excluding the top and bottom 10k used by the other
 // feeds), in rank order.
 func (w *Web) RandomSlice(n int, seed uint64) []*Site {
+	picked := w.pickRandom(n, seed)
+	var out []*Site
+	for i, s := range w.Sites {
+		if picked[i] {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// pickRandom marks, by index into Sites, the n sites RandomSlice samples.
+func (w *Web) pickRandom(n int, seed uint64) []bool {
 	rng := stats.NewRNG(seed).Fork("randomslice")
+	picked := make([]bool, len(w.Sites))
 	lo, hi := 10_000, len(w.Sites)-10_000
 	if hi <= lo {
-		return nil
+		return picked
 	}
 	pool := hi - lo
 	if n > pool {
 		n = pool
 	}
-	picked := make(map[int]bool, n)
-	var out []*Site
-	for len(out) < n {
+	for got := 0; got < n; {
 		idx := lo + rng.Intn(pool)
-		if picked[idx] {
-			continue
+		if !picked[idx] {
+			picked[idx] = true
+			got++
 		}
-		picked[idx] = true
-		out = append(out, w.Sites[idx])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-	return out
+	return picked
 }
 
 // AVFeed returns the sites present in the simulated antivirus-company feed.
@@ -341,22 +349,16 @@ func (w *Web) AVFeed() []*Site {
 
 // CrawlSet assembles the paper's crawl target list: the top 10k, the bottom
 // 10k, a random middle sample, and the AV feed, deduplicated, in rank order.
+// Sites are stored in rank order with unique hosts, so one pass over the
+// ranking yields the set.
 func (w *Web) CrawlSet(randomN int) []*Site {
-	seen := make(map[string]bool)
+	picked := w.pickRandom(randomN, w.cfg.Seed)
 	var out []*Site
-	add := func(sites []*Site) {
-		for _, s := range sites {
-			if !seen[s.Host] {
-				seen[s.Host] = true
-				out = append(out, s)
-			}
+	for i, s := range w.Sites {
+		if i < 10_000 || i >= len(w.Sites)-10_000 || picked[i] || s.InAVFeed {
+			out = append(out, s)
 		}
 	}
-	add(w.TopSlice(10_000))
-	add(w.BottomSlice(10_000))
-	add(w.RandomSlice(randomN, w.cfg.Seed))
-	add(w.AVFeed())
-	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
 	return out
 }
 

@@ -1,9 +1,11 @@
 package webgen
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
+	"madave/internal/stats"
 	"madave/internal/urlx"
 )
 
@@ -303,5 +305,84 @@ func TestAVFeedShadyBias(t *testing.T) {
 	}
 	if feedRate < otherRate*3 {
 		t.Fatalf("AV-feed sites not skewed: feed %.2f vs others %.2f", feedRate, otherRate)
+	}
+}
+
+// crawlSetRef and randomSliceRef are the map-and-sort construction of the
+// crawl set that CrawlSet and RandomSlice replace, kept as their reference.
+func crawlSetRef(w *Web, randomN int) []*Site {
+	seen := make(map[string]bool)
+	var out []*Site
+	add := func(sites []*Site) {
+		for _, s := range sites {
+			if !seen[s.Host] {
+				seen[s.Host] = true
+				out = append(out, s)
+			}
+		}
+	}
+	add(w.TopSlice(10_000))
+	add(w.BottomSlice(10_000))
+	add(randomSliceRef(w, randomN, w.cfg.Seed))
+	add(w.AVFeed())
+	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
+	return out
+}
+
+func randomSliceRef(w *Web, n int, seed uint64) []*Site {
+	rng := stats.NewRNG(seed).Fork("randomslice")
+	lo, hi := 10_000, len(w.Sites)-10_000
+	if hi <= lo {
+		return nil
+	}
+	pool := hi - lo
+	if n > pool {
+		n = pool
+	}
+	picked := make(map[int]bool, n)
+	var out []*Site
+	for len(out) < n {
+		idx := lo + rng.Intn(pool)
+		if picked[idx] {
+			continue
+		}
+		picked[idx] = true
+		out = append(out, w.Sites[idx])
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
+	return out
+}
+
+func sameSites(a, b []*Site) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestCrawlSetMatchesMapAndSortReference(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42} {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		cfg.NumSites = 23_000
+		w, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 0, a few, the default-sized sample, and more than the middle
+		// holds (the sample is capped at the whole middle).
+		for _, n := range []int{0, 1, 500, 2_000, 3_000, 5_000} {
+			if got, want := w.RandomSlice(n, seed+3), randomSliceRef(w, n, seed+3); !sameSites(got, want) {
+				t.Fatalf("seed %d: RandomSlice(%d) differs from the reference (%d vs %d sites)", seed, n, len(got), len(want))
+			}
+			if got, want := w.CrawlSet(n), crawlSetRef(w, n); !sameSites(got, want) {
+				t.Fatalf("seed %d: CrawlSet(%d) differs from the reference (%d vs %d sites)", seed, n, len(got), len(want))
+			}
+		}
 	}
 }
